@@ -1,5 +1,6 @@
 //! The closed-loop client driver for the partitioned KV service
-//! (`wamcast-smr`), on both runtimes.
+//! (`wamcast-smr`) on the simulator; [`crate::tcp_host`] drives the same
+//! workload against TCP peers.
 //!
 //! This is the end-to-end path the ROADMAP's "open a new workload" step
 //! asks for: clients issue [`Command`]s, each command is atomically
@@ -8,13 +9,11 @@
 //! — invocations, responses, per-replica apply logs, digests — is recorded
 //! into a [`History`] that the `wamcast_smr::history` checker then judges.
 //!
-//! Three entry points:
+//! Two entry points:
 //!
 //! * [`run_smr_sim`] — the deterministic simulator, with an arbitrary
 //!   [`FaultPlan`] adversary and optional [`InjectedBug`] (the
 //!   `--inject-bug` hook proving the checker rejects bad histories);
-//! * [`run_smr_net`] — the threaded `wamcast-net` cluster (real timers,
-//!   typically with batching on): same driver logic, wall-clock times;
 //! * [`run_smr_scenario`] — the `scenario_fuzz --arm smr` arm: derives the
 //!   topology/fault plan from a [`RunSpec`] seed exactly like the delivery
 //!   arm, then checks *application-level* correctness on top.
@@ -33,7 +32,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wamcast_core::{GenuineMulticast, MulticastConfig, WithApply};
 use wamcast_metrics::Histogram;
-use wamcast_net::Cluster;
 use wamcast_sim::{invariants, FaultPlan, SimConfig, Simulation};
 use wamcast_smr::{
     history, responder_shard, shared_replica, ApplyBug, BuggyKv, Command, History, OpRecord,
@@ -408,107 +406,6 @@ pub fn run_smr_sim(
     }
 }
 
-/// Runs the same closed-loop workload on the threaded `wamcast-net`
-/// cluster (real timers, wall-clock context) on clean links, and checks
-/// the history identically. Times are wall-clock offsets from the run
-/// start; `timeout` bounds each round's wait.
-pub fn run_smr_net(
-    shape: (usize, usize),
-    cfg: &SmrConfig,
-    seed: u64,
-    timeout: Duration,
-) -> SmrOutcome {
-    let (k, d) = shape;
-    let topo = Topology::symmetric(k, d);
-    let shards = ShardMap::new(k);
-    let mut handles: Vec<SharedKv> = Vec::with_capacity(k * d);
-    let mcfg = multicast_config(cfg);
-    let started = Instant::now();
-    let cluster = Cluster::spawn(topo, |p, t| {
-        let kv = shared_replica(t.group_of(p), shards);
-        handles.push(Arc::clone(&kv));
-        WithApply::new(GenuineMulticast::new(p, t, mcfg), BuggyKv::new(kv, None))
-    });
-
-    let num_clients = k * cfg.clients_per_group;
-    let mut gens: Vec<OpGen> = (0..num_clients)
-        .map(|c| OpGen::new(cfg, shards, seed, c))
-        .collect();
-    let now = |started: Instant| SimTime::from_nanos(started.elapsed().as_nanos() as u64);
-
-    let mut ops: Vec<OpRecord> = Vec::new();
-    let mut violations: Vec<String> = Vec::new();
-    for _round in 0..cfg.ops_per_client {
-        let mut outstanding: Vec<(usize, MessageId)> = Vec::new();
-        for (c, gen) in gens.iter_mut().enumerate() {
-            let cmd = gen.next();
-            let dest = shards.dest_of(&cmd);
-            let home = GroupId((c % k) as u16);
-            let caster = cluster.topology().members(home)[c / k % d];
-            let id = cluster.cast(caster, dest, cmd.encode());
-            ops.push(OpRecord {
-                id,
-                cmd,
-                dest,
-                client: c,
-                invoked_at: now(started),
-                responded_at: None,
-                response: None,
-            });
-            outstanding.push((ops.len() - 1, id));
-        }
-        for (i, id) in outstanding {
-            if cluster.await_delivery_everywhere(id, timeout).is_err() {
-                violations.push(format!(
-                    "liveness: op {id} not delivered everywhere within {timeout:?}"
-                ));
-                continue;
-            }
-            let responder = responder_shard(&shards, &ops[i].cmd, ops[i].dest);
-            let p = cluster.topology().members(responder)[0];
-            let resp = handles[p.index()]
-                .lock()
-                .expect("replica poisoned")
-                .response_of(id)
-                .map(|a| a.response);
-            ops[i].responded_at = Some(now(started));
-            ops[i].response = resp;
-        }
-    }
-
-    let end_time = now(started);
-    let replicas: Vec<ReplicaLog> = cluster
-        .topology()
-        .processes()
-        .map(|p| ReplicaLog::capture(p, &handles[p.index()].lock().expect("replica poisoned")))
-        .collect();
-    cluster.shutdown();
-    let hist = History {
-        shards,
-        ops,
-        replicas,
-    };
-    let report = history::check(&hist);
-    violations.extend(report.violations);
-    let committed = hist.committed();
-    let mean_latency = mean_response_latency(&hist);
-    SmrOutcome {
-        violations,
-        committed,
-        unresponded: hist.ops.len() - committed,
-        end_time,
-        intra_sends: 0, // the threaded runtime does not meter sends
-        inter_sends: 0,
-        steps: 0,
-        dropped: 0,
-        duplicated: 0,
-        crashes: 0,
-        mean_latency,
-        cpu: started.elapsed(),
-        history: hist,
-    }
-}
-
 /// The `scenario_fuzz --arm smr` runner: derives the fault plan and
 /// topology from `spec` exactly like the delivery arm, reads the batching
 /// policy off the spec's registry arm (the SMR stack always runs A1 — A2
@@ -543,8 +440,7 @@ fn multicast_config(cfg: &SmrConfig) -> MulticastConfig {
 }
 
 /// The invocation→response latency distribution of a history's committed
-/// ops (nanoseconds) — the commit-latency histogram both SMR runtimes
-/// (sim and net) share, reported through the same
+/// ops (nanoseconds), reported through the same
 /// [`percentile_cells`](crate::table::percentile_cells) path as every
 /// other harness bin. Unresponded ops contribute nothing (the checker
 /// already accounts for them as maybe-uncommitted).

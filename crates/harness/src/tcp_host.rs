@@ -5,7 +5,7 @@
 //! ([`crate::registry::ProtocolArm::serve_tcp`]); this module is the
 //! application-layer counterpart: one peer process hosts
 //! `WithApply<GenuineMulticast, BuggyKv>` — the same A1 stack
-//! [`crate::smr::run_smr_net`] builds, through the same
+//! [`crate::smr::run_smr_sim`] builds, through the same
 //! [`a1_stack_config`] construction site — plus a [`Service`] hook
 //! answering the three control-plane requests a client needs to drive and
 //! judge a run:
@@ -240,6 +240,25 @@ pub fn fetch_replica_log(client: &mut TcpClient) -> io::Result<ReplicaLog> {
     ReplicaLog::from_wire(&rep).map_err(|_| bad_reply("replica-log"))
 }
 
+/// Waits until every KV peer at `addrs` answers its control plane.
+///
+/// # Errors
+///
+/// The address of the first peer still silent after `timeout`.
+pub fn await_ready(addrs: &[SocketAddr], timeout: Duration) -> Result<(), SocketAddr> {
+    let deadline = Instant::now() + timeout;
+    for &addr in addrs {
+        let mut c = TcpClient::new(addr, SMR_ARM, Duration::from_millis(500));
+        while fetch_replica_log(&mut c).is_err() {
+            if Instant::now() > deadline {
+                return Err(addr);
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+    Ok(())
+}
+
 /// Configuration of one TCP-driven SMR run against already-listening
 /// peers (spawned by `smr_kv --tcp`, a test, or by hand).
 pub struct TcpRunConfig {
@@ -270,8 +289,8 @@ pub fn client_seq(client: usize, round: usize) -> u64 {
 }
 
 /// Drives the closed-loop KV workload against live TCP peers and judges
-/// the recorded history — the multi-process sibling of
-/// [`crate::smr::run_smr_net`]. Every op is recorded *before* its cast is
+/// the recorded history — the wall-clock sibling of
+/// [`crate::smr::run_smr_sim`]. Every op is recorded *before* its cast is
 /// sent: a cast whose ack is lost may still commit, and the checker must
 /// know the op existed.
 pub fn run_smr_tcp(rc: &TcpRunConfig) -> SmrOutcome {
@@ -438,23 +457,12 @@ pub fn run_smr_tcp(rc: &TcpRunConfig) -> SmrOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-
-    fn free_addrs(n: usize) -> Vec<SocketAddr> {
-        let holds: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-            .collect();
-        holds
-            .iter()
-            .map(|l| l.local_addr().expect("addr"))
-            .collect()
-    }
 
     #[test]
     fn in_process_tcp_smr_run_is_clean() {
         let (kk, dd) = (2usize, 2usize);
         let topo = Arc::new(Topology::symmetric(kk, dd));
-        let addrs = free_addrs(topo.num_processes());
+        let addrs = tcp::reserve_local_addrs(topo.num_processes()).expect("reserve");
         let peers: Vec<KvPeer> = topo
             .processes()
             .map(|p| {
@@ -488,7 +496,7 @@ mod tests {
     #[test]
     fn control_plane_rejects_malformed_requests() {
         let topo = Arc::new(Topology::symmetric(1, 1));
-        let addrs = free_addrs(1);
+        let addrs = tcp::reserve_local_addrs(1).expect("reserve");
         let peer = spawn_smr_peer(
             ProcessId(0),
             Arc::clone(&topo),

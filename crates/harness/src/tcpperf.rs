@@ -24,7 +24,7 @@ use crate::perf::json_number;
 use crate::registry::a1_stack_config;
 use crate::scenario::RETRY_INTERVAL;
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use wamcast_core::GenuineMulticast;
@@ -67,17 +67,6 @@ impl TcpProbeResult {
     }
 }
 
-/// Binds `n` listeners on ephemeral loopback ports and returns their
-/// addresses. The listeners are dropped before the peers bind — the tiny
-/// race this opens is acceptable in a probe (a collision surfaces as a
-/// bind error, not a wrong number).
-fn free_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
-    let held: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0"))
-        .collect::<io::Result<_>>()?;
-    held.iter().map(|l| l.local_addr()).collect()
-}
-
 /// One probe repeat on the canonical [`TCP_PROBE_SHAPE`]; see
 /// [`probe_tcp_shaped`].
 ///
@@ -103,7 +92,7 @@ pub fn probe_tcp_shaped(shape: (usize, usize), ops: u64) -> io::Result<TcpProbeR
     let (groups, per_group) = shape;
     let topo = Arc::new(Topology::symmetric(groups, per_group));
     let n = topo.num_processes();
-    let addrs = free_addrs(n)?;
+    let addrs = tcp::reserve_local_addrs(n)?;
     let batch = BatchConfig::new(8).with_max_delay(Duration::from_millis(20));
     let mcfg = a1_stack_config(Some(batch), Some(RETRY_INTERVAL));
 

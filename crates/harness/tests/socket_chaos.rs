@@ -29,31 +29,21 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::process::{Child, Command as Proc, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wamcast_harness::tcp_host::{
-    fetch_replica_log, fetch_trace, poll_response, spawn_smr_peer, KvPeer,
+    await_ready, fetch_replica_log, fetch_trace, poll_response, spawn_smr_peer, KvPeer,
 };
 use wamcast_harness::SMR_ARM;
-use wamcast_net::tcp::TcpClient;
+use wamcast_net::tcp::{reserve_local_addrs, TcpClient};
 use wamcast_smr::{history, responder_shard, Command, History, OpRecord, ShardMap};
 use wamcast_types::{GroupId, MessageId, ProcessId, SimTime, Topology};
 
 const GROUPS: usize = 3;
 const PROCS: usize = 2;
 const OP_TIMEOUT: Duration = Duration::from_secs(30);
-
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    let holds: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    holds
-        .iter()
-        .map(|l| l.local_addr().expect("addr"))
-        .collect()
-}
 
 /// The shared chaos driver: records ops pre-send, casts them through a
 /// per-client caster, polls responder shards on never-killed processes
@@ -356,24 +346,9 @@ fn spawn_peer_process(me: u32, addrs: &[SocketAddr]) -> std::io::Result<Child> {
         .spawn()
 }
 
-/// Waits until every address answers a replica-log request.
-fn wait_ready(addrs: &[SocketAddr]) {
-    let deadline = Instant::now() + OP_TIMEOUT;
-    for &addr in addrs {
-        loop {
-            let mut c = TcpClient::new(addr, SMR_ARM, Duration::from_secs(2));
-            if fetch_replica_log(&mut c).is_ok() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "peer at {addr} never came up");
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-}
-
 #[test]
 fn killing_and_restarting_real_peer_processes_keeps_history_clean() {
-    let addrs = free_addrs(GROUPS * PROCS);
+    let addrs = reserve_local_addrs(GROUPS * PROCS).expect("reserve");
     let mut spawned: Vec<Option<Child>> = Vec::new();
     for me in 0..(GROUPS * PROCS) as u32 {
         match spawn_peer_process(me, &addrs) {
@@ -390,7 +365,7 @@ fn killing_and_restarting_real_peer_processes_keeps_history_clean() {
             }
         }
     }
-    wait_ready(&addrs);
+    await_ready(&addrs, OP_TIMEOUT).unwrap_or_else(|a| panic!("peer at {a} never came up"));
 
     let children = RefCell::new(spawned);
     let (report, hist) = run_chaos_schedule(
@@ -449,7 +424,7 @@ fn killing_and_restarting_real_peer_processes_keeps_history_clean() {
 #[test]
 fn thread_fallback_chaos_survives_peer_restart() {
     let topo = Arc::new(Topology::symmetric(GROUPS, PROCS));
-    let addrs = free_addrs(GROUPS * PROCS);
+    let addrs = reserve_local_addrs(GROUPS * PROCS).expect("reserve");
     let peers: RefCell<Vec<Option<KvPeer>>> = RefCell::new(
         topo.processes()
             .map(|me| {

@@ -1,11 +1,10 @@
-//! The single fault-application choke point for wall-clock runtimes.
+//! The single fault-application choke point of the wall-clock runtime.
 //!
-//! Both hosted transports — the in-process mpsc [`Cluster`] and the
-//! multi-process TCP runtime ([`crate::tcp`]) — must consult *this* type on
-//! every outbound copy, so drop/duplication semantics cannot diverge
-//! between them: for the same ([`FaultPlan`], seed) and the same send
-//! sequence, both runtimes draw the same fate stream (pinned by the
-//! differential test in `tests/fault_parity.rs`).
+//! The TCP event loop ([`crate::tcp`]) consults *this* type on every
+//! outbound copy, whichever host runs it — an in-process [`Cluster`] or a
+//! `peer` process — so there is one drop/duplication semantics: for the
+//! same ([`FaultPlan`], seed) and the same send sequence, the fate stream
+//! is the same (pinned by `tests/fault_parity.rs`).
 //!
 //! [`Cluster`]: crate::Cluster
 
@@ -20,11 +19,11 @@ use wamcast_types::{FaultInjector, FaultPlan, LinkFate, ProcessId, SimTime};
 /// adversary.
 ///
 /// Scope: drop, duplication and partitions are honored; latency *spikes*
-/// are not (neither an mpsc channel nor a kernel socket exposes a delay to
-/// scale — shaping latency is the discrete-event runtime's job). Fates
-/// draw from the plan's deterministic stream, but thread interleaving
-/// makes the *assignment* of fates to messages nondeterministic;
-/// bit-for-bit replay is the simulator's job.
+/// are not (a kernel socket exposes no delay to scale — shaping latency
+/// is the discrete-event runtime's job). Fates draw from the plan's
+/// deterministic stream, but thread interleaving makes the *assignment*
+/// of fates to messages nondeterministic; bit-for-bit replay is the
+/// simulator's job.
 ///
 /// # Example
 ///

@@ -1,13 +1,15 @@
-//! Multi-process TCP runtime: one OS process per protocol instance,
-//! connected by `std::net` sockets speaking the `wamcast_types::wire`
-//! format.
+//! The wall-clock runtime: protocol instances connected by `std::net`
+//! sockets speaking the `wamcast_types::wire` format, one OS process per
+//! instance (the harness's `peer` binary) or several in one process
+//! ([`Cluster`], tests).
 //!
-//! This is the runtime the simulator and the in-process [`Cluster`] cannot
-//! stand in for: messages really cross byte boundaries (every send pays
-//! encode + syscall + decode), and chaos means real `kill -9` and real
-//! socket resets, not a flag flip. The protocol values hosted here are the
-//! same sans-io state machines the other runtimes drive — the only new
-//! requirement is `P::Msg: Wire`.
+//! This is the runtime the simulator cannot stand in for: messages really
+//! cross byte boundaries (every send pays encode + syscall + decode), and
+//! chaos means real `kill -9` and real socket resets, not a flag flip. The
+//! protocol values hosted here are the same sans-io state machines the
+//! simulator drives — the only new requirement is `P::Msg: Wire`. The
+//! event loop below is the only wall-clock interpreter of their
+//! [`Action`]s.
 //!
 //! # Shape
 //!
@@ -29,8 +31,12 @@
 //!   protocols' retransmission modes (`with_retry`) are what make the
 //!   stack live over real sockets, so hosts should enable them.
 //! * **Faults:** an optional [`WallFaults`] is consulted once per outbound
-//!   copy — the *same* choke point [`Cluster`]'s channel sends use — so
-//!   drop/duplication semantics cannot diverge between the two runtimes.
+//!   copy, so every wall-clock host — a [`Cluster`], the `peer` binary —
+//!   faces the same lossy, duplicating, non-FIFO link adversary.
+//! * **Hostile input:** undecodable frames are dropped and the connection
+//!   kept; a client cast whose destination is empty or names a group
+//!   outside the topology is dropped unacknowledged; [`serve`] refuses
+//!   topologies wire v1 cannot address (more than 64 groups).
 //!
 //! Casts carry a client-chosen sequence number and are injected with
 //! `MessageId::new(server, seq)`: the client knows the op id *before* the
@@ -52,8 +58,8 @@ use std::time::{Duration, Instant};
 use wamcast_trace::{Phase, TraceEvent, TraceRing};
 use wamcast_types::wire::{self, Wire, WireError, WireReader, WireWriter};
 use wamcast_types::{
-    Action, AppMessage, Context, GroupSet, MessageId, MsgSlot, Outbox, Payload, ProcessId,
-    Protocol, SimTime, Topology,
+    trace_msg, Action, AppMessage, Context, GroupSet, MessageId, MsgSlot, Outbox, Payload,
+    ProcessId, Protocol, SimTime, Topology,
 };
 
 /// A node's shared flight recorder: the event loop appends, reader
@@ -338,6 +344,20 @@ impl TcpNode {
     }
 }
 
+/// Reserves `n` distinct loopback addresses by binding ephemeral ports
+/// and dropping the listeners. A small race window exists before the
+/// nodes re-bind; a collision surfaces as a bind error from [`serve`].
+///
+/// # Errors
+///
+/// Returns any error binding a port.
+pub fn reserve_local_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
+    let held: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0"))
+        .collect::<io::Result<_>>()?;
+    held.iter().map(TcpListener::local_addr).collect()
+}
+
 /// Spawns a node: listener + per-peer outbound links + protocol event
 /// loop, all on OS threads of *this* process. Peer processes are started
 /// from the same address list by the harness's `peer` binary.
@@ -347,7 +367,8 @@ impl TcpNode {
 ///
 /// # Errors
 ///
-/// Returns any error binding the listen address.
+/// Returns `InvalidInput` for a topology of more than
+/// [`wire::MAX_GROUPS`] groups, and any error binding the listen address.
 pub fn serve<P>(
     cfg: TcpNodeConfig,
     proto: P,
@@ -366,6 +387,16 @@ where
         faults,
         trace,
     } = cfg;
+    if topo.num_groups() > wire::MAX_GROUPS {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "wire v1 addresses at most {} groups; the topology has {}",
+                wire::MAX_GROUPS,
+                topo.num_groups()
+            ),
+        ));
+    }
     assert_eq!(
         addrs.len(),
         topo.num_processes(),
@@ -458,6 +489,7 @@ where
         let loop_tx = loop_tx.clone();
         let service = Arc::clone(&service);
         let next_cast = Arc::new(Mutex::new(std::collections::HashSet::<u64>::new()));
+        let groups = topo.all_groups();
         handles.push(std::thread::spawn(move || {
             let mut readers = Vec::new();
             for conn in listener.incoming() {
@@ -472,7 +504,7 @@ where
                 let service = Arc::clone(&service);
                 let injected = Arc::clone(&next_cast);
                 readers.push(std::thread::spawn(move || {
-                    read_connection(conn, me, arm, stop, loop_tx, service, injected)
+                    read_connection(conn, me, arm, groups, stop, loop_tx, service, injected)
                 }));
             }
             for r in readers {
@@ -481,8 +513,8 @@ where
         }));
     }
 
-    // Protocol event loop: the same step shape as the in-process runtime,
-    // shipping through the links with the shared fault choke point.
+    // Protocol event loop: steps the protocol and ships through the links
+    // with the shared fault choke point.
     {
         let delivered = Arc::clone(&delivered);
         let stop = Arc::clone(&stop_flag);
@@ -508,10 +540,14 @@ where
 }
 
 /// Handles one inbound connection (peer or client) until EOF or shutdown.
+/// `groups` is the topology's group set, which every client cast's
+/// destination must lie in.
+#[allow(clippy::too_many_arguments)]
 fn read_connection<M: Wire + Send + 'static>(
     conn: TcpStream,
     me: ProcessId,
     arm: u8,
+    groups: GroupSet,
     stop: Arc<AtomicBool>,
     loop_tx: Sender<LoopEv<M>>,
     service: Service,
@@ -555,6 +591,10 @@ fn read_connection<M: Wire + Send + 'static>(
             Frame::Peer { from, msg } => {
                 let _ = loop_tx.send(LoopEv::Msg { from, msg });
             }
+            // A destination the topology cannot route would panic the
+            // event loop's protocol handler: drop it like any other
+            // hostile frame, unacknowledged, and keep the connection.
+            Frame::Cast { dest, .. } if dest.is_empty() || !dest.is_subset(groups) => {}
             Frame::Cast { seq, dest, payload } => {
                 let id = MessageId::new(me, seq);
                 // Ack first (the client records the op before the send, the
@@ -651,26 +691,7 @@ fn event_loop<P>(
         if trace.is_none() {
             return;
         }
-        match P::describe_msg(msg) {
-            Some(info) => {
-                let phase = info.class.phase(sending);
-                if info.casts.is_empty() {
-                    record(phase, None, Some(peer));
-                } else {
-                    for id in info.casts {
-                        record(phase, Some(id), Some(peer));
-                    }
-                }
-            }
-            None => {
-                let phase = if sending {
-                    Phase::MsgSend
-                } else {
-                    Phase::MsgRecv
-                };
-                record(phase, None, Some(peer));
-            }
-        }
+        trace_msg::<P>(msg, sending, |phase, cast| record(phase, cast, Some(peer)));
     };
     let mut timers: BinaryHeap<TimerEntry> = BinaryHeap::new();
     // Self-sends loop straight back into our own queue (no socket), via a
@@ -692,8 +713,7 @@ fn event_loop<P>(
             let mut out = Outbox::new();
             #[allow(clippy::redundant_closure_call)]
             ($f)(&mut proto, &ctx, &mut out);
-            // The fate is drawn per copy at the shared choke point, exactly
-            // as the in-process runtime's channel sends do.
+            // The fate is drawn per copy at the shared choke point.
             //
             // `frame` is the encode-once slot for the action being shipped:
             // the frame bytes carry `me`, not the destination, so one
@@ -932,12 +952,7 @@ impl TcpClient {
     ///
     /// Any socket error.
     pub fn crash_notify(&mut self, of: ProcessId) -> io::Result<()> {
-        let arm = self.arm;
-        let frame: Frame<NoMsg> = Frame::CrashNotify { of };
-        let r = (|| {
-            let s = self.ensure()?;
-            write_frame(s, &wire::seal(arm, &frame))
-        })();
+        let r = self.send(Frame::CrashNotify { of });
         if r.is_err() {
             self.reset();
         }
@@ -950,14 +965,15 @@ impl TcpClient {
     ///
     /// Any socket error.
     pub fn shutdown_peer(&mut self) -> io::Result<()> {
-        let arm = self.arm;
-        let frame: Frame<NoMsg> = Frame::Shutdown;
-        let r = (|| {
-            let s = self.ensure()?;
-            write_frame(s, &wire::seal(arm, &frame))
-        })();
+        let r = self.send(Frame::Shutdown);
         self.reset();
         r
+    }
+
+    /// Writes one frame that expects no reply.
+    fn send(&mut self, frame: Frame<NoMsg>) -> io::Result<()> {
+        let arm = self.arm;
+        write_frame(self.ensure()?, &wire::seal(arm, &frame))
     }
 }
 

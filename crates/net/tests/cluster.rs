@@ -1,5 +1,6 @@
-//! Integration tests for the threaded runtime: the same protocol cores that
-//! run under the simulator, on real OS threads.
+//! Integration tests for `Cluster`: the same protocol cores that run under
+//! the simulator, as in-process TCP nodes on real threads and loopback
+//! sockets.
 
 use std::time::Duration;
 use wamcast_core::{GenuineMulticast, MulticastConfig, RoundBroadcast};
@@ -8,7 +9,7 @@ use wamcast_types::{FaultPlan, GroupId, GroupSet, Payload, ProcessId, SimTime, T
 
 #[test]
 fn a2_total_order_on_threads() {
-    let cluster = Cluster::spawn(Topology::symmetric(2, 2), RoundBroadcast::new);
+    let cluster = Cluster::spawn(Topology::symmetric(2, 2), RoundBroadcast::new).expect("spawn");
     let dest = cluster.topology().all_groups();
     let mut ids = Vec::new();
     for i in 0..6u32 {
@@ -37,7 +38,8 @@ fn a2_total_order_on_threads() {
 fn a1_genuine_multicast_on_threads() {
     let cluster = Cluster::spawn(Topology::symmetric(3, 2), |p, t| {
         GenuineMulticast::new(p, t, MulticastConfig::default())
-    });
+    })
+    .expect("spawn");
     let d01 = GroupSet::from_iter([GroupId(0), GroupId(1)]);
     let a = cluster.cast(ProcessId(0), d01, Payload::from_static(b"a"));
     let b = cluster.cast(ProcessId(2), d01, Payload::from_static(b"b"));
@@ -65,7 +67,7 @@ fn a1_genuine_multicast_on_threads() {
 
 #[test]
 fn a2_survives_crash_on_threads() {
-    let cluster = Cluster::spawn(Topology::symmetric(2, 3), RoundBroadcast::new);
+    let cluster = Cluster::spawn(Topology::symmetric(2, 3), RoundBroadcast::new).expect("spawn");
     let dest = cluster.topology().all_groups();
     let warm = cluster.cast(ProcessId(0), dest, Payload::new());
     cluster
@@ -84,7 +86,7 @@ fn a2_survives_crash_on_threads() {
 #[test]
 fn a1_with_retry_survives_lossy_duplicating_links() {
     // The same FaultPlan vocabulary the simulator interprets, applied at
-    // the channel layer: a 60%-lossy + duplicating first 300 ms, clean
+    // the socket-send layer: a 60%-lossy + duplicating first 300 ms, clean
     // afterwards. A1's retransmission mode must converge to the same total
     // order everywhere.
     let until = SimTime::from_millis(300);
@@ -108,7 +110,8 @@ fn a1_with_retry_survives_lossy_duplicating_links() {
             t,
             MulticastConfig::default().with_retry(Duration::from_millis(40)),
         )
-    });
+    })
+    .expect("spawn");
     let dest = cluster.topology().all_groups();
     let mut ids = Vec::new();
     for i in 0..6u32 {
@@ -141,7 +144,8 @@ fn faulty_cluster_executes_planned_crashes() {
     let plan = FaultPlan::none().with_crash(SimTime::from_millis(80), ProcessId(3));
     let cluster = Cluster::spawn_faulty(Topology::symmetric(2, 3), plan, 1, |p, t| {
         RoundBroadcast::new(p, t).with_retry(Duration::from_millis(40))
-    });
+    })
+    .expect("spawn");
     let dest = cluster.topology().all_groups();
     let warm = cluster.cast(ProcessId(0), dest, Payload::new());
     cluster
@@ -161,7 +165,8 @@ fn shutdown_does_not_wait_for_far_future_planned_crashes() {
     // The crash watchdog sleeps toward a crash a minute out; shutdown must
     // interrupt that sleep, not serve it.
     let plan = FaultPlan::none().with_crash(SimTime::from_millis(60_000), ProcessId(0));
-    let cluster = Cluster::spawn_faulty(Topology::symmetric(2, 2), plan, 1, RoundBroadcast::new);
+    let cluster = Cluster::spawn_faulty(Topology::symmetric(2, 2), plan, 1, RoundBroadcast::new)
+        .expect("spawn");
     let dest = cluster.topology().all_groups();
     let id = cluster.cast(ProcessId(0), dest, Payload::new());
     cluster
@@ -180,7 +185,8 @@ fn shutdown_is_clean_with_pending_timers() {
     // A paced A2 arms timers; shutdown must not hang on them.
     let cluster = Cluster::spawn(Topology::symmetric(2, 1), |p, t| {
         RoundBroadcast::with_pacing(p, t, Duration::from_millis(50))
-    });
+    })
+    .expect("spawn");
     let dest = cluster.topology().all_groups();
     let _ = cluster.cast(ProcessId(0), dest, Payload::new());
     std::thread::sleep(Duration::from_millis(30));
@@ -189,7 +195,7 @@ fn shutdown_is_clean_with_pending_timers() {
 
 #[test]
 fn batched_a1_delivers_in_order_on_threads() {
-    // The batching layer runs unchanged on the threaded runtime: the flush
+    // The batching layer runs unchanged on the socket runtime: the flush
     // timer is a real timer here, so a pooled batch below the size trigger
     // still proposes within max_delay. Two concurrent casters, batch size
     // large enough that the delay trigger does the flushing.
@@ -198,7 +204,8 @@ fn batched_a1_delivers_in_order_on_threads() {
     let batch = BatchConfig::new(16).with_max_delay(Duration::from_millis(10));
     let cluster = Cluster::spawn(Topology::symmetric(2, 2), move |p, t| {
         GenuineMulticast::new(p, t, MulticastConfig::default().with_batch(batch))
-    });
+    })
+    .expect("spawn");
     let dest = cluster.topology().all_groups();
     let mut ids = Vec::new();
     for i in 0..8u32 {
@@ -225,8 +232,8 @@ fn batched_a1_delivers_in_order_on_threads() {
 
 #[test]
 fn ring_multicast_with_retry_survives_lossy_links_on_threads() {
-    // A registry-hosted Figure 1 baseline on the threaded runtime, under
-    // the channel-layer adversary: the ring's retry mode (hand-off
+    // A registry-hosted Figure 1 baseline on the socket runtime, under
+    // the socket-send adversary: the ring's retry mode (hand-off
     // retransmission, positive-ack Final retransmission, consensus ticks)
     // must ride out a 50%-lossy first 300 ms and still converge to one
     // total order at every addressed process.
@@ -249,7 +256,8 @@ fn ring_multicast_with_retry_survives_lossy_links_on_threads() {
     }
     let cluster = Cluster::spawn_faulty(Topology::symmetric(3, 2), plan, 0x4417, |p, t| {
         RingMulticast::new(p, t).with_retry(Duration::from_millis(40))
-    });
+    })
+    .expect("spawn");
     // Mixed destinations: a group pair and the full set, from casters in
     // different groups (the caster need not be addressed).
     let d01 = GroupSet::from_iter([GroupId(0), GroupId(1)]);

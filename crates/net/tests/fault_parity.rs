@@ -1,11 +1,12 @@
-//! Differential test for the fault-application choke point.
+//! Determinism tests for the fault-application choke point.
 //!
-//! Both wall-clock runtimes — the mpsc `Cluster` and the TCP runtime —
-//! consult one shared [`WallFaults`] per outbound copy. This test pins the
-//! property that makes that sharing meaningful: for identical
-//! `(FaultPlan, seed)` and an identical send sequence, the fate stream is
-//! identical, so neither runtime can drift into its own drop/duplication
-//! semantics.
+//! Every wall-clock host — an in-process `Cluster`, a `peer` process —
+//! runs the one TCP event loop, which consults a shared [`WallFaults`]
+//! per outbound copy, so hosts agree on drop/duplication semantics by
+//! construction. What this file pins is the adversary itself: for
+//! identical `(FaultPlan, seed)` and an identical send sequence, the fate
+//! stream is identical, and each fate maps to the same number of
+//! transmitted copies.
 
 use std::time::Duration;
 use wamcast_net::WallFaults;
@@ -31,9 +32,7 @@ fn fates(faults: &WallFaults, seq: &[(ProcessId, ProcessId)]) -> Vec<LinkFate> {
     seq.iter().map(|&(f, t)| faults.fate(f, t)).collect()
 }
 
-/// The number of copies a runtime actually transmits for one fate — the
-/// shared interpretation both `Cluster::spawn_faulty`'s channel path and
-/// the TCP event loop apply.
+/// The number of copies the TCP event loop transmits for one fate.
 fn copies(fate: &LinkFate) -> usize {
     if fate.dropped {
         0
@@ -92,7 +91,7 @@ fn different_seeds_diverge() {
 
 #[test]
 fn copy_interpretation_is_shared() {
-    // Pin the mapping fate -> transmitted copies that both runtimes use:
+    // Pin the mapping fate -> transmitted copies the event loop uses:
     // dropped beats duplicated, duplication transmits exactly one extra.
     let clean = LinkFate::CLEAN;
     assert_eq!(copies(&clean), 1);

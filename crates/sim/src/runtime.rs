@@ -7,8 +7,8 @@ use std::fmt;
 use std::sync::Arc;
 use wamcast_trace::{Phase, TraceEvent, TraceRing};
 use wamcast_types::{
-    Action, AppMessage, Context, FaultInjector, FaultPlan, GroupSet, LatencyClock, MessageId,
-    MsgSlot, Outbox, Payload, ProcessId, Protocol, SimTime, Topology,
+    trace_msg, Action, AppMessage, Context, FaultInjector, FaultPlan, GroupSet, LatencyClock,
+    MessageId, MsgSlot, Outbox, Payload, ProcessId, Protocol, SimTime, Topology,
 };
 
 /// Configuration of a simulation run.
@@ -351,32 +351,14 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Records a wire message send/receive at `node`, classified via
-    /// [`Protocol::describe_msg`]: one event per referenced cast, or one
-    /// unattributed event when the protocol declines to classify.
+    /// [`Protocol::describe_msg`] (see [`trace_msg`]).
     fn record_msg(&mut self, node: ProcessId, msg: &P::Msg, sending: bool, peer: ProcessId) {
         if self.trace.is_none() {
             return;
         }
-        match P::describe_msg(msg) {
-            Some(info) => {
-                let phase = info.class.phase(sending);
-                if info.casts.is_empty() {
-                    self.record(node, phase, None, Some(peer));
-                } else {
-                    for id in info.casts {
-                        self.record(node, phase, Some(id), Some(peer));
-                    }
-                }
-            }
-            None => {
-                let phase = if sending {
-                    Phase::MsgSend
-                } else {
-                    Phase::MsgRecv
-                };
-                self.record(node, phase, None, Some(peer));
-            }
-        }
+        trace_msg::<P>(msg, sending, |phase, cast| {
+            self.record(node, phase, cast, Some(peer))
+        });
     }
 
     /// The fault plan driving this run, if any (it lives in the injector;

@@ -1,5 +1,5 @@
-//! The KV service on the threaded `wamcast-net` runtime: real OS threads,
-//! real timers, batching on. The same sans-io protocol values and the same
+//! The KV service on a `wamcast-net` `Cluster`: in-process TCP nodes, real
+//! OS threads, real sockets, real timers, batching on. The same sans-io protocol values and the same
 //! state machines as the simulator runs — this test is the proof that the
 //! delivery→apply hookup and the history checker are runtime-agnostic.
 
@@ -34,6 +34,7 @@ fn threaded_cluster_with_batching_passes_the_history_checker() {
             handles.lock().unwrap().push(Arc::clone(&kv));
             WithApply::new(GenuineMulticast::new(p, t, mcfg), kv)
         })
+        .expect("spawn")
     };
     let handles = handles.lock().unwrap().clone();
     let now = |started: Instant| SimTime::from_nanos(started.elapsed().as_nanos() as u64);

@@ -20,7 +20,7 @@
 //!
 //! Both runtimes consume the same adversary: the discrete-event simulator
 //! applies fates at delivery-scheduling time (virtual time), and the
-//! threaded runtime (`wamcast-net`) applies them at channel-send time
+//! TCP runtime (`wamcast-net`) applies them at socket-send time
 //! (wall-clock offsets). A simulated run therefore stays a pure function of
 //! `(topology, config, workload, seed)` — every fuzzed failure reproduces
 //! bit-for-bit from its seed and [`FaultPlan::fingerprint`].

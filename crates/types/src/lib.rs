@@ -67,7 +67,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use groupset::GroupSet;
 pub use ids::{GroupId, ProcessId};
 pub use message::{AppMessage, MessageId, Payload};
-pub use proto::{Action, Context, MsgClass, MsgInfo, MsgSlot, Outbox, Protocol};
+pub use proto::{trace_msg, Action, Context, MsgClass, MsgInfo, MsgSlot, Outbox, Protocol};
 pub use rng::SplitMix64;
 pub use statemachine::StateMachine;
 pub use time::SimTime;

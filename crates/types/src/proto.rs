@@ -3,8 +3,8 @@
 //! Every algorithm in this workspace — the paper's A1 and A2, their
 //! substrates (consensus, reliable multicast) and all baselines — is written
 //! as a pure state machine implementing [`Protocol`]. A host runtime (the
-//! deterministic simulator in `wamcast-sim`, or the threaded in-process
-//! cluster in `wamcast-net`) feeds it events and executes the [`Action`]s it
+//! deterministic simulator in `wamcast-sim`, or the TCP event loop in
+//! `wamcast-net`) feeds it events and executes the [`Action`]s it
 //! emits. Protocol code contains no I/O, no clocks, no threads and no
 //! randomness, which gives us:
 //!
@@ -86,6 +86,29 @@ impl MsgInfo {
     /// Describes a message of `class` referencing the given casts.
     pub fn new(class: MsgClass, casts: Vec<MessageId>) -> Self {
         MsgInfo { class, casts }
+    }
+}
+
+/// Maps one wire message to the flight-recorder events a host records for
+/// it, classified via [`Protocol::describe_msg`]: `emit(phase, cast)` runs
+/// once per referenced cast, or once with `None` when the message
+/// references none or the protocol declines to classify it. Shared by the
+/// simulator and the TCP event loop, so their traces cannot drift; hosts
+/// call it only when tracing is on.
+pub fn trace_msg<P: Protocol>(
+    msg: &P::Msg,
+    sending: bool,
+    mut emit: impl FnMut(wamcast_trace::Phase, Option<MessageId>),
+) {
+    let Some(info) = P::describe_msg(msg) else {
+        return emit(MsgClass::Other.phase(sending), None);
+    };
+    let phase = info.class.phase(sending);
+    if info.casts.is_empty() {
+        emit(phase, None);
+    }
+    for id in info.casts {
+        emit(phase, Some(id));
     }
 }
 
@@ -207,7 +230,7 @@ impl Context {
     }
 
     /// Current instant (virtual in the simulator, wall-clock offset in the
-    /// threaded runtime). Protocols may log it but must not branch on it for
+    /// TCP runtime). Protocols may log it but must not branch on it for
     /// correctness.
     #[inline]
     pub fn now(&self) -> SimTime {

@@ -1,9 +1,8 @@
 //! Dependency-free wire codec: the byte format protocol messages use to
 //! cross process boundaries.
 //!
-//! Everything before this module ran in one address space — the simulator
-//! hands `Arc<M>` around and the threaded runtime ships clones through mpsc
-//! channels — so no message had ever been serialized. The TCP runtime in
+//! The simulator runs in one address space and hands `Arc<M>` around, so
+//! it never serializes a message. The TCP runtime in
 //! `wamcast-net` needs real bytes, and the workspace builds offline with no
 //! external dependencies, so the codec is hand-rolled: a tiny writer/reader
 //! pair ([`WireWriter`] / [`WireReader`]), a [`Wire`] trait implemented by
@@ -493,15 +492,19 @@ impl Wire for GroupId {
     }
 }
 
+/// The most groups wire v1 can address: destination sets travel as a
+/// `u64` mask.
+pub const MAX_GROUPS: usize = 64;
+
 /// Wire v1 carries destination sets as a `u64` mask: the format predates
 /// the 128-group in-memory mask, and the golden corpus pins the 8-byte
-/// layout. The TCP runtime therefore speaks ≤64-group topologies only —
-/// the 65..128-group range is a simulator-scale feature (`scale_sweep`),
-/// which never serializes destination sets.
+/// layout. The TCP runtime therefore speaks ≤[`MAX_GROUPS`]-group
+/// topologies only — the 65..128-group range is a simulator-scale feature
+/// (`scale_sweep`), which never serializes destination sets.
 impl Wire for GroupSet {
     fn encode(&self, w: &mut WireWriter) {
         assert!(
-            self.bits() >> 64 == 0,
+            self.bits() >> MAX_GROUPS == 0,
             "wire v1 encodes at most 64 groups; {self} does not fit (bump VERSION to widen)"
         );
         w.u64(self.bits() as u64);

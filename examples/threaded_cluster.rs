@@ -1,12 +1,12 @@
-//! Run the paper's Algorithm A2 on real OS threads.
+//! Run the paper's Algorithm A2 on real OS threads and sockets.
 //!
 //! Run with: `cargo run --example threaded_cluster`
 //!
 //! The protocol cores are sans-io; everything else in this repository runs
 //! them under the deterministic simulator. This example hosts the *same*
-//! `RoundBroadcast` values on the `wamcast-net` threaded runtime (crossbeam
-//! channels, real timers) to show the cores are runtime-agnostic, and
-//! exercises crash handling live.
+//! `RoundBroadcast` values as `wamcast-net` TCP nodes on loopback (one
+//! event-loop thread per process, real sockets, real timers) to show the
+//! cores are runtime-agnostic, and exercises crash handling live.
 
 use std::time::Duration;
 use wamcast::net::Cluster;
@@ -14,9 +14,9 @@ use wamcast::types::{Payload, ProcessId};
 use wamcast::{RoundBroadcast, Topology};
 
 fn main() {
-    // 2 sites × 3 replicas = 6 threads.
+    // 2 sites × 3 replicas = 6 nodes.
     let topo = Topology::symmetric(2, 3);
-    let cluster = Cluster::spawn(topo, RoundBroadcast::new);
+    let cluster = Cluster::spawn(topo, RoundBroadcast::new).expect("spawn");
     let everyone = cluster.topology().all_groups();
 
     // Broadcast a burst from several processes.
@@ -36,7 +36,7 @@ fn main() {
             .expect("delivery");
     }
 
-    // All six threads hold the same total order.
+    // All six nodes hold the same total order.
     let reference: Vec<_> = cluster
         .delivered(ProcessId(0))
         .iter()
@@ -47,7 +47,7 @@ fn main() {
         assert_eq!(seq[..reference.len()], reference[..], "{p} diverged");
     }
     println!(
-        "6 threads agreed on a total order of {} messages:",
+        "6 nodes agreed on a total order of {} messages:",
         reference.len()
     );
     for m in &reference {
