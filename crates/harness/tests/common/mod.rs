@@ -1,10 +1,45 @@
-//! Shared fingerprinting for the determinism test suites
+//! Shared fixtures for the determinism test suites
 //! (`engine_determinism.rs`, `trace_neutrality.rs`): an FNV-1a hash over
-//! every recorded observable of a run's [`RunMetrics`].
+//! every recorded observable of a run's [`RunMetrics`], and the canonical
+//! `3x3 a1-batched` probe scenario.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
-use wamcast_sim::RunMetrics;
+use std::time::Duration;
+use wamcast_core::{GenuineMulticast, MulticastConfig};
+use wamcast_harness::scenario::RETRY_INTERVAL;
+use wamcast_harness::workload::{all_group_pairs, poisson};
+use wamcast_sim::{RunMetrics, SimConfig, Simulation};
+use wamcast_types::{BatchConfig, GroupSet, Payload, Topology};
+
+/// Runs the canonical `3x3 a1-batched` probe to quiescence: 3 groups x 3
+/// processes, batched A1 (8 messages / 20 ms window) with the fuzz arm's
+/// retry interval, ~2000 Poisson casts over one virtual second to every
+/// group pair and to all groups, seed `0xE12`, no faults, send log off.
+/// `trace_cap` > 0 turns the flight recorder on at that capacity.
+/// Returns the steps dispatched and the events the recorder saw (retained
+/// plus evicted; 0 untraced).
+pub fn run_probe(trace_cap: usize) -> (u64, u64) {
+    let topo = Topology::symmetric(3, 3);
+    let mut dests: Vec<GroupSet> = all_group_pairs(&topo);
+    dests.push(topo.all_groups());
+    let casts = poisson(&topo, 2000.0, Duration::from_secs(1), &dests, 0xE12);
+    let cfg = SimConfig::default().with_seed(0xE12).with_send_log(false);
+    let batch = BatchConfig::new(8).with_max_delay(Duration::from_millis(20));
+    let mcfg = MulticastConfig::default()
+        .with_batch(batch)
+        .with_retry(RETRY_INTERVAL);
+    let mut sim = Simulation::new(topo, cfg, |p, t| GenuineMulticast::new(p, t, mcfg));
+    if trace_cap > 0 {
+        sim.enable_trace(trace_cap);
+    }
+    for c in &casts {
+        sim.cast_at(c.at, c.caster, c.dest, Payload::new());
+    }
+    sim.run_to_quiescence();
+    let recorded = sim.trace().map_or(0, |t| t.len() as u64 + t.evicted());
+    (sim.metrics().steps, recorded)
+}
 
 /// Incremental FNV-1a over little-endian `u64`s.
 pub struct Fnv(pub u64);

@@ -24,7 +24,7 @@
 
 mod common;
 
-use common::fingerprint;
+use common::{fingerprint, run_probe};
 use wamcast_harness::run_scenario_full;
 use wamcast_harness::scenario::RunSpec;
 use wamcast_harness::StackRegistry;
@@ -150,4 +150,16 @@ fn fingerprint_is_sensitive_to_delivery_order() {
         .expect("some process delivered at least two messages");
     seq.swap(0, 1);
     assert_ne!(base, fingerprint(&m));
+}
+
+/// The canonical `3x3 a1-batched` probe (the scenario the benchmark's
+/// `a1-3x3` workload times) dispatches an exact, seed-determined number
+/// of steps; run it twice to rule out hidden state between runs. Drift
+/// means the engine or A1 changed what it executes.
+#[test]
+fn canonical_probe_dispatches_a_pinned_step_count() {
+    let (first, _) = run_probe(0);
+    let (second, _) = run_probe(0);
+    assert_eq!(first, 69_665, "probe step count drifted");
+    assert_eq!(first, second, "same seed, same schedule, same steps");
 }

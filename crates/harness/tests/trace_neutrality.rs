@@ -3,22 +3,24 @@
 //! The causal trace layer's contract is that recording is
 //! **observation-only**: the simulator pushes events from its existing
 //! dispatch sites, draws no randomness, schedules nothing. This suite
-//! pins the contract from two directions:
+//! pins the contract from three directions:
 //!
 //! * the engine-determinism golden corpora (the PR 4 pre-overhaul
 //!   fingerprints and the PR 5 baseline-arm fingerprints) are regenerated
 //!   with the recorder ON and must match the checked-in goldens **byte
 //!   for byte** — the traced engine is the golden engine;
 //! * a 200-seed faulted fuzz sweep is run traced and untraced and every
-//!   seed's full `RunMetrics` fingerprint must agree.
+//!   seed's full `RunMetrics` fingerprint must agree;
+//! * the canonical `3x3 a1-batched` probe (a heavy, fault-free batched
+//!   load) dispatches the same step count traced and untraced.
 //!
-//! If either test fails, a recording site did more than observe (took a
+//! If any test fails, a recording site did more than observe (took a
 //! branch that draws RNG, reordered an event, mutated protocol state) —
 //! fix the site, never bless new goldens from here.
 
 mod common;
 
-use common::fingerprint;
+use common::{fingerprint, run_probe};
 use wamcast_harness::run_scenario_full;
 use wamcast_harness::scenario::{capture_trace, RunSpec};
 use wamcast_harness::StackRegistry;
@@ -142,4 +144,12 @@ fn two_hundred_seed_sweep_is_fingerprint_identical_traced_vs_untraced() {
         );
         assert!(!ring.is_empty(), "seed {seed}: nothing recorded");
     }
+}
+
+#[test]
+fn traced_canonical_probe_executes_the_untraced_schedule() {
+    let (untraced, _) = run_probe(0);
+    let (traced, recorded) = run_probe(1 << 16);
+    assert_eq!(untraced, traced, "recording must not perturb the schedule");
+    assert!(recorded > 0, "a traced probe must actually record");
 }

@@ -541,7 +541,7 @@ where
 
 /// Handles one inbound connection (peer or client) until EOF or shutdown.
 /// `groups` is the topology's group set, which every client cast's
-/// destination must lie in.
+/// destination must lie in; a cast outside it closes the connection.
 #[allow(clippy::too_many_arguments)]
 fn read_connection<M: Wire + Send + 'static>(
     conn: TcpStream,
@@ -592,9 +592,13 @@ fn read_connection<M: Wire + Send + 'static>(
                 let _ = loop_tx.send(LoopEv::Msg { from, msg });
             }
             // A destination the topology cannot route would panic the
-            // event loop's protocol handler: drop it like any other
-            // hostile frame, unacknowledged, and keep the connection.
-            Frame::Cast { dest, .. } if dest.is_empty() || !dest.is_subset(groups) => {}
+            // event loop's protocol handler. Drop the frame unacknowledged
+            // and close the connection: the client sees EOF at once
+            // instead of waiting out its reply timeout, and redials.
+            Frame::Cast { dest, .. } if dest.is_empty() || !dest.is_subset(groups) => {
+                let _ = conn.get_ref().shutdown(std::net::Shutdown::Both);
+                return;
+            }
             Frame::Cast { seq, dest, payload } => {
                 let id = MessageId::new(me, seq);
                 // Ack first (the client records the op before the send, the
